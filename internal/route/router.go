@@ -18,6 +18,7 @@ import (
 	"crossmatch/internal/core"
 	"crossmatch/internal/fault"
 	"crossmatch/internal/geo"
+	"crossmatch/internal/jsonscan"
 	"crossmatch/internal/metrics"
 	"crossmatch/internal/serve"
 )
@@ -254,7 +255,7 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 		writeJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "reading body: " + err.Error()})
 		return
 	}
-	lines := splitLines(body)
+	lines := serve.SplitLines(nil, body)
 	if len(lines) == 0 {
 		writeJSON(w, http.StatusBadRequest, serve.WireDecision{Status: serve.StatusError, Error: "empty body"})
 		return
@@ -293,7 +294,13 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 	defer cancel()
 	if len(groups) == 1 { // the common case: no fan-out, no goroutine
 		for sh, idxs := range groups {
-			r.forwardGroup(ctx, sh, kind, lines, idxs, routes, outs)
+			// When every line goes to this shard, the body already is the
+			// sub-batch: the shard splits it into the same lines.
+			payload := body
+			if len(idxs) < len(lines) {
+				payload = joinLines(lines, idxs)
+			}
+			r.forwardGroup(ctx, sh, kind, payload, idxs, routes, outs)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -301,7 +308,7 @@ func (r *Router) handleForward(w http.ResponseWriter, req *http.Request, kind co
 			wg.Add(1)
 			go func(sh *shard, idxs []int) {
 				defer wg.Done()
-				r.forwardGroup(ctx, sh, kind, lines, idxs, routes, outs)
+				r.forwardGroup(ctx, sh, kind, joinLines(lines, idxs), idxs, routes, outs)
 			}(sh, idxs)
 		}
 		wg.Wait()
@@ -391,16 +398,7 @@ func (r *Router) retryHintMs() int64 {
 // call deadline; a final failure answers every line unavailable. Shard
 // backpressure lines (shed/draining/recovering) pass through with
 // their own retry_after_ms.
-func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, lines [][]byte, idxs []int, routes []lineRoute, outs [][]byte) {
-	total := 0
-	for _, i := range idxs {
-		total += len(lines[i]) + 1
-	}
-	payload := make([]byte, 0, total)
-	for _, i := range idxs {
-		payload = append(payload, lines[i]...)
-		payload = append(payload, '\n')
-	}
+func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKind, payload []byte, idxs []int, routes []lineRoute, outs [][]byte) {
 	n := int64(len(idxs))
 	sh.lines.Add(n)
 	r.met.RouteForward(n)
@@ -480,6 +478,20 @@ func (r *Router) forwardGroup(ctx context.Context, sh *shard, kind core.EventKin
 		}
 		outs[i] = line
 	}
+}
+
+// joinLines builds the NDJSON sub-batch of the given lines.
+func joinLines(lines [][]byte, idxs []int) []byte {
+	total := 0
+	for _, i := range idxs {
+		total += len(lines[i]) + 1
+	}
+	payload := make([]byte, 0, total)
+	for _, i := range idxs {
+		payload = append(payload, lines[i]...)
+		payload = append(payload, '\n')
+	}
+	return payload
 }
 
 // backoff draws the jittered capped-exponential wait for a retry.
@@ -576,7 +588,7 @@ func (r *Router) post(ctx context.Context, sh *shard, kind core.EventKind, paylo
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shard %s: %s: %s", sh.name, resp.Status, strings.TrimSpace(string(body)))
 	}
-	return splitLines(body), nil
+	return serve.SplitLines(nil, body), nil
 }
 
 // encodeDecision marshals a router-made decision once; every local
@@ -610,131 +622,38 @@ func appendStamped(dst, line []byte, name string) []byte {
 // scanPoint extracts the top-level "x" and "y" numbers from an event
 // line without a full decode — dispatch needs only the location, and
 // encoding/json on every line was the router's single largest CPU
-// cost. The scan is string- and escape-aware and tracks bracket depth,
-// so values that merely contain `"x":` cannot fool it; anything
-// structurally surprising returns ok=false and dispatch falls back to
-// the strict decoder. Missing coordinates default to 0, matching the
-// lenient wirePoint decode.
+// cost. Keys match as encoding/json matches them (ASCII case folded),
+// every other value is checked as strictly as encoding/json checks it,
+// and anything the scan does not fully decide — escaped or non-ASCII
+// keys, non-numeric coordinates, trailing bytes — returns ok=false so
+// dispatch falls back to the decoder. Missing coordinates default to 0,
+// matching the lenient wirePoint decode.
 func scanPoint(line []byte) (x, y float64, ok bool) {
-	i, n := 0, len(line)
-	skipWS := func() {
-		for i < n && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' || line[i] == '\n') {
-			i++
+	ok = jsonscan.Line(line, func(key []byte, i int) int {
+		var end int
+		switch {
+		case jsonscan.FoldEq(key, "x"):
+			x, end = jsonscan.Float(line, i)
+		case jsonscan.FoldEq(key, "y"):
+			y, end = jsonscan.Float(line, i)
+		default:
+			end = jsonscan.Value(line, i)
 		}
-	}
-	// skipString advances past the string starting at line[i] == '"'.
-	skipString := func() bool {
-		for i++; i < n; i++ {
-			switch line[i] {
-			case '\\':
-				i++
-			case '"':
-				i++
-				return true
-			}
-		}
-		return false
-	}
-	skipValue := func() bool {
-		switch line[i] {
-		case '"':
-			return skipString()
-		case '{', '[':
-			depth := 0
-			for i < n {
-				switch line[i] {
-				case '"':
-					if !skipString() {
-						return false
-					}
-					continue
-				case '{', '[':
-					depth++
-				case '}', ']':
-					depth--
-					if depth == 0 {
-						i++
-						return true
-					}
-				}
-				i++
-			}
-			return false
-		default: // number, true, false, null
-			for i < n && line[i] != ',' && line[i] != '}' && line[i] != ']' &&
-				line[i] != ' ' && line[i] != '\t' {
-				i++
-			}
-			return true
-		}
-	}
-	skipWS()
-	if i >= n || line[i] != '{' {
+		return end
+	})
+	if !ok {
 		return 0, 0, false
 	}
-	i++
-	skipWS()
-	if i < n && line[i] == '}' {
-		return 0, 0, true
-	}
-	for {
-		skipWS()
-		if i >= n || line[i] != '"' {
-			return 0, 0, false
-		}
-		keyStart := i + 1
-		if !skipString() {
-			return 0, 0, false
-		}
-		key := line[keyStart : i-1]
-		skipWS()
-		if i >= n || line[i] != ':' {
-			return 0, 0, false
-		}
-		i++
-		skipWS()
-		if i >= n {
-			return 0, 0, false
-		}
-		if len(key) == 1 && (key[0] == 'x' || key[0] == 'y') {
-			vs := i
-			for i < n && (line[i] == '-' || line[i] == '+' || line[i] == '.' ||
-				line[i] == 'e' || line[i] == 'E' || (line[i] >= '0' && line[i] <= '9')) {
-				i++
-			}
-			v, err := strconv.ParseFloat(string(line[vs:i]), 64)
-			if err != nil {
-				return 0, 0, false
-			}
-			if key[0] == 'x' {
-				x = v
-			} else {
-				y = v
-			}
-		} else if !skipValue() {
-			return 0, 0, false
-		}
-		skipWS()
-		if i >= n {
-			return 0, 0, false
-		}
-		switch line[i] {
-		case ',':
-			i++
-		case '}':
-			return x, y, true
-		default:
-			return 0, 0, false
-		}
-	}
+	return x, y, true
 }
 
 // readAllHint reads rc to EOF, presizing from the declared content
 // length when one is known (io.ReadAll's grow-and-copy cycles show up
-// on the forward hot path).
+// on the forward hot path). The slack is bytes.Buffer's minimum read
+// size: with less, the read that finds EOF doubles the buffer first.
 func readAllHint(rc io.Reader, hint int64) ([]byte, error) {
 	if hint > 0 && hint < maxBodyBytes {
-		buf := bytes.NewBuffer(make([]byte, 0, hint+1))
+		buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
 		_, err := buf.ReadFrom(rc)
 		return buf.Bytes(), err
 	}
@@ -785,17 +704,19 @@ func (r *Router) reply(w http.ResponseWriter, batch bool, outs [][]byte) {
 		_, _ = w.Write([]byte{'\n'})
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	// The lines go straight into the response writer's buffer; the
+	// declared length spares the client chunked decoding.
 	total := 0
 	for _, line := range outs {
 		total += len(line) + 1
 	}
-	buf := make([]byte, 0, total)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(total))
+	nl := []byte{'\n'}
 	for _, line := range outs {
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
+		_, _ = w.Write(line)
+		_, _ = w.Write(nl)
 	}
-	_, _ = w.Write(buf)
 }
 
 // FleetHealth is the router's /healthz document.
@@ -878,16 +799,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// splitLines cuts a body into non-empty trimmed lines (the shard-side
-// NDJSON convention).
-func splitLines(body []byte) [][]byte {
-	var out [][]byte
-	for _, line := range bytes.Split(body, []byte("\n")) {
-		if t := bytes.TrimSpace(line); len(t) > 0 {
-			out = append(out, t)
-		}
-	}
-	return out
 }

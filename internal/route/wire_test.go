@@ -2,7 +2,12 @@ package route
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
+
+	"crossmatch"
+	"crossmatch/internal/core"
+	"crossmatch/internal/serve"
 )
 
 // TestScanPointAgreesWithDecoder is the contract that keeps the fast
@@ -22,6 +27,8 @@ func TestScanPointAgreesWithDecoder(t *testing.T) {
 		`{"tags":["x","y",{"x":77}],"x":3,"y":4}`,
 		`  { "x" : 2.5 , "y" : 3.5 }  `,
 		`{"a":null,"b":true,"c":false,"x":1e-2,"y":-0.5}`,
+		`{"X":5,"y":2}`, // keys match case-insensitively, as in the decoder
+		`{"x":1,"Y":2,"y":3}`,
 	}
 	for _, line := range lines {
 		x, y, ok := scanPoint([]byte(line))
@@ -51,12 +58,80 @@ func TestScanPointRejectsMalformed(t *testing.T) {
 		`{"x":"str","y":2}`, // string where dispatch expects a number
 		`{"x":1,}`,
 		`{"unterminated":"`,
+		`{"x":1,"y":2} garbage`,
+		`{"x":1,"y":2}{"x":3}`,
+		`{"a":tru,"x":1}`,
+		`{"a":"\q","x":1}`,
+		`{"x":+1}`,
+		`{"x":01}`,
+		`{"x":1.}`,
 	}
 	for _, line := range lines {
 		if _, _, ok := scanPoint([]byte(line)); ok {
 			t.Errorf("scanPoint accepted malformed line %q", line)
 		}
 	}
+	// Valid lines the scan leaves to the decoder: keys the decoder
+	// matches after unescaping or Unicode case folding.
+	for _, line := range []string{`{"\u0078":5}`, `{"\u00e9":1,"x":2}`, `{"é":1,"x":2}`} {
+		if _, _, ok := scanPoint([]byte(line)); ok {
+			t.Errorf("scanPoint decided %q, which it must leave to the decoder", line)
+		}
+	}
+}
+
+// sampleLines returns real event lines from a synthetic stream: a
+// worker carrying a 40-value history, and a request.
+func sampleLines(tb testing.TB) (worker, request []byte) {
+	tb.Helper()
+	s, err := crossmatch.GenerateSynthetic(400, 400, 1.0, "real", 42)
+	if err != nil {
+		tb.Fatalf("GenerateSynthetic: %v", err)
+	}
+	for _, ev := range s.Events() {
+		isWorker := ev.Kind == core.WorkerArrival
+		if (isWorker && worker != nil) || (!isWorker && request != nil) ||
+			(isWorker && len(ev.Worker.History) != 40) {
+			continue
+		}
+		line, err := json.Marshal(serve.EventToWire(ev))
+		if err != nil {
+			tb.Fatalf("encoding event: %v", err)
+		}
+		if isWorker {
+			worker = line
+		} else {
+			request = line
+		}
+	}
+	if worker == nil || request == nil {
+		tb.Fatal("synthetic stream lacks a 40-value worker or a request")
+	}
+	return worker, request
+}
+
+// FuzzScanPoint: whatever line the scanner decides, the decoder must
+// accept, with the same coordinates bit for bit — a disagreement routes
+// an event to a shard that does not own its cell.
+func FuzzScanPoint(f *testing.F) {
+	worker, request := sampleLines(f)
+	for _, seed := range []string{string(worker), string(request), `{"X":5,"y":2}`,
+		`{"x":1} x`, `{"meta":{"x":[1,{"y":2}]},"x":1e-7}`, `{"\u0079":3}`, `{"x":null}`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		x, y, ok := scanPoint(line)
+		if !ok {
+			return
+		}
+		var pt wirePoint
+		if err := json.Unmarshal(line, &pt); err != nil {
+			t.Fatalf("scanPoint decided %q, decoder rejects it: %v", line, err)
+		}
+		if math.Float64bits(x) != math.Float64bits(pt.X) || math.Float64bits(y) != math.Float64bits(pt.Y) {
+			t.Fatalf("scanPoint(%q) = (%v,%v), decoder says (%v,%v)", line, x, y, pt.X, pt.Y)
+		}
+	})
 }
 
 func TestAppendStamped(t *testing.T) {
@@ -103,6 +178,7 @@ func TestLineStatus(t *testing.T) {
 // line.
 func BenchmarkScanPoint(b *testing.B) {
 	line := []byte(`{"id":"w-123","kind":"worker","x":42.5,"y":17.25,"radius":1.5,"platform":2}`)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, ok := scanPoint(line); !ok {
 			b.Fatal("scanPoint rejected benchmark line")

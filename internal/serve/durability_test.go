@@ -100,7 +100,7 @@ func TestBatchDeadlineSparesComputedDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading response: %v", err)
 	}
-	lines := splitLines(body2)
+	lines := SplitLines(nil, body2)
 	if len(lines) != n {
 		t.Fatalf("got %d response lines, want %d", len(lines), n)
 	}
@@ -316,6 +316,32 @@ func TestLogEventSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm WAL append allocates %.1f times per event, want 0", allocs)
+	}
+}
+
+// TestDecodeEventSteadyStateAllocFree pins the ingest cost model: a
+// replay-mode server decodes a 40-value worker line into the reused
+// history scratch and throws the values away, so once the scratch is
+// warm a decode must not allocate.
+func TestDecodeEventSteadyStateAllocFree(t *testing.T) {
+	worker, request := sampleLines(t)
+	var we WireEvent
+	var hist []float64
+	for _, line := range [][]byte{worker, request} {
+		if err := decodeEvent(line, &we, &hist); err != nil { // warm the scratch
+			t.Fatalf("decodeEvent: %v", err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := decodeEvent(line, &we, &hist); err != nil {
+				t.Fatalf("decodeEvent: %v", err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("warm decode of %d-byte line allocates %.1f times, want 0", len(line), allocs)
+		}
+	}
+	if len(we.History) != 0 || cap(hist) < 40 {
+		t.Fatalf("request line left history %v; scratch cap %d", we.History, cap(hist))
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -506,11 +507,12 @@ func retryLine(ctx context.Context, client *http.Client, base string, job batchJ
 // statuses) even for a single event.
 func postBatch(ctx context.Context, client *http.Client, base string, job batchJob) ([]WireDecision, time.Duration, error) {
 	var buf bytes.Buffer
-	lw := newLineWriter(&buf)
+	enc := json.NewEncoder(&buf)
 	for i := range job.evs {
-		lw.writeLine(&job.evs[i])
+		if err := enc.Encode(&job.evs[i]); err != nil {
+			return nil, 0, fmt.Errorf("serve: encoding event %d: %w", job.evs[i].ID, err)
+		}
 	}
-	lw.flush()
 	url := base + "/v1/requests"
 	if job.kind == core.WorkerArrival {
 		url = base + "/v1/workers"
@@ -535,7 +537,7 @@ func postBatch(ctx context.Context, client *http.Client, base string, job batchJ
 		return nil, rtt, fmt.Errorf("serve: POST %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
 	var outs []WireDecision
-	for _, line := range splitLines(body) {
+	for _, line := range SplitLines(nil, body) {
 		var d WireDecision
 		if err := unmarshalStrict(line, &d); err != nil {
 			return nil, rtt, fmt.Errorf("serve: bad response line %q: %w", line, err)

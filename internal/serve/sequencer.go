@@ -1,10 +1,6 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"io"
 	"time"
 
 	"crossmatch/internal/core"
@@ -269,26 +265,3 @@ func eventID(ev core.Event) int64 {
 	}
 	return 0
 }
-
-// unmarshalStrict decodes one JSON value rejecting unknown fields —
-// typos in hand-written payloads fail loudly instead of silently
-// zeroing.
-func unmarshalStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// lineWriter batches NDJSON response lines through one buffered writer.
-type lineWriter struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-}
-
-func newLineWriter(w io.Writer) *lineWriter {
-	bw := bufio.NewWriter(w)
-	return &lineWriter{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-func (lw *lineWriter) writeLine(v any) { _ = lw.enc.Encode(v) }
-func (lw *lineWriter) flush()          { _ = lw.bw.Flush() }

@@ -23,9 +23,9 @@
 package serve
 
 import (
+	"bytes"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -520,19 +520,57 @@ func (s *Server) Close() (*platform.Result, error) {
 // lines — far beyond any sane batch).
 const maxBodyBytes = 32 << 20
 
+// ingestBuf is one ingest call's reusable memory: the body, its lines,
+// the history decode scratch, the per-line slots and the response.
+// Nothing admitted points into it — replay events are the recorded
+// stream's, live events own a copy of their history — so it goes back
+// to the pool once the response is written.
+type ingestBuf struct {
+	body  bytes.Buffer
+	lines [][]byte
+	hist  []float64
+	items []*ingest
+	outs  []WireDecision
+	resp  []byte
+}
+
+var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+
+// Caps on what a recycled ingestBuf keeps, so one outsized batch does
+// not stay pinned in the pool.
+const (
+	maxPooledBytes = 1 << 20
+	maxPooledLines = 4096
+)
+
+func (b *ingestBuf) release() {
+	if b.body.Cap() > maxPooledBytes || cap(b.resp) > maxPooledBytes || cap(b.lines) > maxPooledLines {
+		return
+	}
+	clear(b.items)
+	clear(b.outs)
+	ingestBufs.Put(b)
+}
+
 // handleIngest serves POST /v1/requests and /v1/workers: a single JSON
 // object, or an NDJSON batch (one event per line). Batch responses are
 // always 200 with one NDJSON decision line per input line; single
 // responses carry the outcome as the HTTP status code too.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kind core.EventKind) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "reading body: " + err.Error()})
+	buf := ingestBufs.Get().(*ingestBuf)
+	defer buf.release()
+	buf.body.Reset()
+	if r.ContentLength > 0 && r.ContentLength < maxBodyBytes {
+		buf.body.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		writeDecision(w, http.StatusBadRequest, &WireDecision{Status: StatusError, Error: "reading body: " + err.Error()})
 		return
 	}
-	lines := splitLines(body)
+	buf.lines = SplitLines(buf.lines[:0], buf.body.Bytes())
+	lines := buf.lines
 	if len(lines) == 0 {
-		writeJSONStatus(w, http.StatusBadRequest, WireDecision{Status: StatusError, Error: "empty body"})
+		writeDecision(w, http.StatusBadRequest, &WireDecision{Status: StatusError, Error: "empty body"})
 		return
 	}
 	batch := len(lines) > 1 || strings.Contains(r.Header.Get("Content-Type"), "ndjson")
@@ -540,10 +578,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kind core.
 	// Admission pass: every line is admitted (or refused) in input
 	// order before any decision is awaited, so one batch's lines enter
 	// the sequencer contiguously and FIFO.
-	items := make([]*ingest, len(lines))
-	outs := make([]WireDecision, len(lines))
+	if cap(buf.items) < len(lines) {
+		buf.items = make([]*ingest, len(lines))
+		buf.outs = make([]WireDecision, len(lines))
+	}
+	items, outs := buf.items[:len(lines)], buf.outs[:len(lines)]
 	for i, line := range lines {
-		items[i], outs[i] = s.admit(kind, line)
+		items[i], outs[i] = s.admit(kind, line, &buf.hist)
 	}
 
 	// Collection pass: wait for the admitted decisions under one shared
@@ -551,19 +592,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kind core.
 	s.collectDecisions(items, outs)
 
 	if !batch {
-		out := outs[0]
+		out := &outs[0]
 		if out.RetryAfterMs > 0 {
 			w.Header().Set("Retry-After", strconv.FormatInt(RetryAfterHeaderSeconds(out.RetryAfterMs), 10))
 		}
-		writeJSONStatus(w, out.httpStatus(), out)
+		writeDecision(w, out.httpStatus(), out)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := newLineWriter(w)
+	resp := buf.resp[:0]
 	for i := range outs {
-		bw.writeLine(&outs[i])
+		resp = appendDecision(resp, &outs[i])
 	}
-	bw.flush()
+	buf.resp = resp
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
+	_, _ = w.Write(resp)
 }
 
 // collectDecisions waits for each admitted item's decision under one
@@ -613,10 +656,11 @@ func (s *Server) collectDecisions(items []*ingest, outs []WireDecision) {
 }
 
 // admit runs one line through admission control. It returns the queued
-// ingest (nil when refused) and, for refusals, the ready response.
-func (s *Server) admit(kind core.EventKind, line []byte) (*ingest, WireDecision) {
+// ingest (nil when refused) and, for refusals, the ready response. hist
+// is the decode scratch for worker histories (see decodeEvent).
+func (s *Server) admit(kind core.EventKind, line []byte, hist *[]float64) (*ingest, WireDecision) {
 	var we WireEvent
-	if err := unmarshalStrict(line, &we); err != nil {
+	if err := decodeEvent(line, &we, hist); err != nil {
 		s.ctr.badEvents.Add(1)
 		return nil, WireDecision{Status: StatusError, Kind: kindName(kind), Error: "bad event: " + err.Error()}
 	}
@@ -857,18 +901,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // shard as dead when this (or the TCP connect) fails.
 func (s *Server) handleLiveness(w http.ResponseWriter, _ *http.Request) {
 	writeJSONStatus(w, http.StatusOK, HealthStatus{Status: "live"})
-}
-
-// splitLines cuts a body into non-empty trimmed lines.
-func splitLines(body []byte) [][]byte {
-	var out [][]byte
-	for _, line := range strings.Split(string(body), "\n") {
-		t := strings.TrimSpace(line)
-		if t != "" {
-			out = append(out, []byte(t))
-		}
-	}
-	return out
 }
 
 // Platforms returns the server's platform set, ascending.

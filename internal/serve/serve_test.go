@@ -111,6 +111,10 @@ func TestBadInputRejected(t *testing.T) {
 		"zero value":     {"/v1/requests", `{"id":1,"x":0.1,"y":0.1,"platform":1}`},
 		"zero radius":    {"/v1/workers", `{"id":1,"x":0.1,"y":0.1,"platform":1}`},
 		"empty body":     {"/v1/requests", ``},
+		// Trailing bytes used to be ignored: the first object was admitted
+		// and a second one on the same line silently dropped.
+		"trailing garbage": {"/v1/requests", `{"id":1,"x":0.1,"y":0.1,"platform":1,"value":3} garbage`},
+		"two objects":      {"/v1/requests", `{"id":1,"x":0.1,"y":0.1,"platform":1,"value":3}{"id":2}`},
 	} {
 		resp, d := postJSON(t, client, ts.URL+tc.url, tc.body)
 		if resp.StatusCode != http.StatusBadRequest || d.Status != StatusError {

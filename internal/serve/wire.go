@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"crossmatch/internal/core"
 	"crossmatch/internal/geo"
+	"crossmatch/internal/jsonscan"
 	"crossmatch/internal/platform"
 )
 
@@ -119,7 +125,9 @@ func kindName(k core.EventKind) string {
 // toEvent builds the domain event for live mode. The arrival tick is
 // stamped later by the sequencer; validation of the stamped event
 // happens in Engine.Process via the matcher path, so only structural
-// errors are caught here.
+// errors are caught here. The event outlives the decode scratch that
+// we.History may alias, so the worker gets its own copy, at its exact
+// length.
 func (we *WireEvent) toEvent(kind core.EventKind) (core.Event, error) {
 	loc := geo.Point{X: we.X, Y: we.Y}
 	switch kind {
@@ -127,8 +135,13 @@ func (we *WireEvent) toEvent(kind core.EventKind) (core.Event, error) {
 		if we.Radius <= 0 {
 			return core.Event{}, fmt.Errorf("worker %d: radius %v must be positive", we.ID, we.Radius)
 		}
+		var hist []float64
+		if we.History != nil {
+			hist = make([]float64, len(we.History))
+			copy(hist, we.History)
+		}
 		w := &core.Worker{ID: we.ID, Loc: loc, Radius: we.Radius,
-			Platform: core.PlatformID(we.Platform), History: we.History}
+			Platform: core.PlatformID(we.Platform), History: hist}
 		return core.Event{Kind: kind, Worker: w}, nil
 	default:
 		if we.Value <= 0 {
@@ -171,6 +184,217 @@ func decisionLine(kind core.EventKind, id, vtime int64, d platform.RequestDecisi
 		out.Revenue = d.Revenue
 	}
 	return out
+}
+
+// SplitLines appends the non-empty, whitespace-trimmed lines of an
+// NDJSON body to dst. The lines alias body (nothing is copied); each is
+// capped at its own length, so appending to one cannot overwrite the
+// next.
+func SplitLines(dst [][]byte, body []byte) [][]byte {
+	nl := []byte{'\n'}
+	dst = slices.Grow(dst, bytes.Count(body, nl)+1)
+	for len(body) > 0 {
+		var line []byte
+		line, body, _ = bytes.Cut(body, nl)
+		if t := bytes.TrimSpace(line); len(t) > 0 {
+			dst = append(dst, t[:len(t):len(t)])
+		}
+	}
+	return dst
+}
+
+// unmarshalStrict is the reference decoder: one JSON value, unknown
+// fields rejected (typos in hand-written payloads fail loudly instead of
+// silently zeroing), and nothing but whitespace after it — a second
+// object on the same line is an error, not a silently dropped event.
+func unmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	rest := data[dec.InputOffset():]
+	if i := jsonscan.Space(rest, 0); i < len(rest) {
+		return fmt.Errorf("invalid character %q after top-level value", rest[i])
+	}
+	return nil
+}
+
+// decodeEvent decodes one event line into we, with exactly
+// unmarshalStrict's outcome: the same accepted values, or the same
+// error. The common line — an object with plain ASCII keys and numeric
+// values — is scanned in one pass without allocating; anything the
+// scan does not fully decide goes to the reference decoder. A decoded
+// History aliases *hist, which is reused from line to line: callers
+// that keep the event must copy it (toEvent does).
+func decodeEvent(line []byte, we *WireEvent, hist *[]float64) error {
+	if scanEvent(line, we, hist) {
+		return nil
+	}
+	// Decoding into a fresh value keeps we itself off the heap: the
+	// reference decoder's interface argument escapes.
+	ref := new(WireEvent)
+	err := unmarshalStrict(line, ref)
+	*we = *ref
+	return err
+}
+
+// scanEvent is decodeEvent's fast path. It reports false — undecided,
+// not invalid — on anything but known keys (matched as encoding/json
+// does, ignoring ASCII case) with in-range JSON numbers.
+func scanEvent(line []byte, we *WireEvent, hist *[]float64) bool {
+	*we = WireEvent{}
+	return jsonscan.Line(line, func(key []byte, i int) int {
+		var end int
+		switch {
+		case jsonscan.FoldEq(key, "x"):
+			we.X, end = jsonscan.Float(line, i)
+		case jsonscan.FoldEq(key, "y"):
+			we.Y, end = jsonscan.Float(line, i)
+		case jsonscan.FoldEq(key, "id"):
+			we.ID, end = jsonscan.Int(line, i, 64)
+		case jsonscan.FoldEq(key, "platform"):
+			var p int64
+			p, end = jsonscan.Int(line, i, 32)
+			we.Platform = int32(p)
+		case jsonscan.FoldEq(key, "value"):
+			we.Value, end = jsonscan.Float(line, i)
+		case jsonscan.FoldEq(key, "radius"):
+			we.Radius, end = jsonscan.Float(line, i)
+		case jsonscan.FoldEq(key, "arrival"):
+			we.Arrival, end = jsonscan.Int(line, i, 64)
+		case jsonscan.FoldEq(key, "history"):
+			// encoding/json decodes [] to an empty, non-nil slice.
+			h := (*hist)[:0]
+			if h == nil {
+				h = make([]float64, 0, 64)
+			}
+			end = jsonscan.Array(line, i, func(j int) int {
+				v, e := jsonscan.Float(line, j)
+				h = append(h, v)
+				return e
+			})
+			*hist, we.History = h, h
+		default:
+			return -1 // unknown field: the reference decoder names it
+		}
+		return end
+	})
+}
+
+// appendDecision appends d's NDJSON line to dst: byte for byte what
+// json.NewEncoder(w).Encode(d) writes, trailing newline included
+// (omitempty, float formatting, HTML-safe string escaping).
+// Payment and Revenue must be finite, as the engine's always are;
+// encoding/json refuses non-finite floats outright.
+func appendDecision(dst []byte, d *WireDecision) []byte {
+	dst = appendStringField(append(dst, '{'), `"status":`, d.Status, true)
+	dst = appendStringField(dst, `,"kind":`, d.Kind, false)
+	dst = appendIntField(dst, `,"id":`, d.ID)
+	dst = appendIntField(dst, `,"vtime":`, d.VTime)
+	dst = appendStringField(dst, `,"shard":`, d.Shard, false)
+	if d.Served {
+		dst = append(dst, `,"served":true`...)
+	}
+	dst = appendStringField(dst, `,"reason":`, d.Reason, false)
+	dst = appendIntField(dst, `,"worker":`, d.WorkerID)
+	dst = appendIntField(dst, `,"worker_platform":`, int64(d.WorkerPlatform))
+	if d.Outer {
+		dst = append(dst, `,"outer":true`...)
+	}
+	dst = appendFloatField(dst, `,"payment":`, d.Payment)
+	dst = appendFloatField(dst, `,"revenue":`, d.Revenue)
+	dst = appendIntField(dst, `,"retry_after_ms":`, d.RetryAfterMs)
+	dst = appendStringField(dst, `,"error":`, d.Error, false)
+	return append(dst, '}', '\n')
+}
+
+func appendIntField(dst []byte, name string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, name...), v, 10)
+}
+
+// appendFloatField formats like encoding/json: the shortest
+// representation, in exponent form only outside [1e-6, 1e21), and with
+// a single-digit negative exponent unpadded (e-7, not e-07).
+func appendFloatField(dst []byte, name string, v float64) []byte {
+	if v == 0 {
+		return dst
+	}
+	dst = append(dst, name...)
+	format := byte('f')
+	if abs := math.Abs(v); abs < 1e-6 || abs >= 1e21 {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendStringField writes a string the way encoding/json does with
+// HTML escaping on: `"`, `\`, `<`, `>`, `&`, control bytes, invalid
+// UTF-8, U+2028 and U+2029 are escaped.
+func appendStringField(dst []byte, name, s string, always bool) []byte {
+	if s == "" && !always {
+		return dst
+	}
+	const hex = "0123456789abcdef"
+	dst = append(append(dst, name...), '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// writeDecision answers a single-object post: the outcome's HTTP code
+// and its decision line.
+func writeDecision(w http.ResponseWriter, code int, d *WireDecision) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(appendDecision(nil, d))
 }
 
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
