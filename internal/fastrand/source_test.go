@@ -44,12 +44,14 @@ func TestStreamIdentity(t *testing.T) {
 	}
 }
 
-// FuzzStreamIdentity hammers arbitrary seeds.
+// FuzzStreamIdentity hammers arbitrary seeds, on the fast path and on
+// the delegating fallback, and checks Fill in chunks of arbitrary size
+// interleaved with single Int63 draws.
 func FuzzStreamIdentity(f *testing.F) {
-	f.Add(int64(1))
-	f.Add(int64(-12345))
-	f.Add(int64(1 << 50))
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Add(int64(1), uint16(128))
+	f.Add(int64(-12345), uint16(1))
+	f.Add(int64(1<<50), uint16(700))
+	f.Fuzz(func(t *testing.T, seed int64, chunk uint16) {
 		var s Source
 		s.Seed(seed)
 		std := rand.NewSource(seed).(rand.Source64)
@@ -58,7 +60,50 @@ func FuzzStreamIdentity(f *testing.F) {
 				t.Fatalf("seed %d draw %d: Uint64 = %d, want %d", seed, i, got, want)
 			}
 		}
+		s.Seed(seed)
+		checkFill(t, &s, seed, int(chunk%1500))
+		checkFill(t, fallbackSource(seed), seed, int(chunk%1500))
 	})
+}
+
+// fallbackSource returns a Source in the delegating mode Seed selects
+// when the package's self-check fails.
+func fallbackSource(seed int64) *Source {
+	return &Source{fallback: rand.NewSource(seed).(rand.Source64)}
+}
+
+// checkFill drives s (freshly seeded with seed) and a stdlib source in
+// lockstep through rounds of Fill(chunk) followed by one Int63, past
+// three full state lengths, requiring identical draws.
+func checkFill(t *testing.T, s *Source, seed int64, chunk int) {
+	t.Helper()
+	std := rand.NewSource(seed)
+	buf := make([]int64, chunk)
+	for drawn := 0; drawn < 3*rngLen; drawn += chunk + 1 {
+		s.Fill(buf)
+		for i, got := range buf {
+			if want := std.Int63(); got != want {
+				t.Fatalf("seed %d chunk %d: Fill draw %d = %d, want %d", seed, chunk, drawn+i, got, want)
+			}
+		}
+		if got, want := s.Int63(), std.Int63(); got != want {
+			t.Fatalf("seed %d chunk %d: Int63 after Fill = %d, want %d", seed, chunk, got, want)
+		}
+	}
+}
+
+// TestFill checks Fill against the stdlib stream for chunk sizes that
+// end on, straddle and span the state's index wrap-arounds, on the fast
+// path and on the delegating fallback.
+func TestFill(t *testing.T) {
+	for _, seed := range []int64{0, 42, -9, 1 << 40} {
+		for _, chunk := range []int{0, 1, 7, 128, rngTap, rngLen - rngTap, rngLen, rngLen + 1, 1500} {
+			var s Source
+			s.Seed(seed)
+			checkFill(t, &s, seed, chunk)
+			checkFill(t, fallbackSource(seed), seed, chunk)
+		}
+	}
 }
 
 func BenchmarkSeedFast(b *testing.B) {
@@ -72,5 +117,27 @@ func BenchmarkSeedStdlib(b *testing.B) {
 	src := rand.NewSource(1)
 	for i := 0; i < b.N; i++ {
 		src.Seed(int64(i))
+	}
+}
+
+func BenchmarkFill(b *testing.B) {
+	var s Source
+	s.Seed(1)
+	var buf [128]int64
+	b.SetBytes(int64(len(buf)) * 8)
+	for i := 0; i < b.N; i++ {
+		s.Fill(buf[:])
+	}
+}
+
+func BenchmarkInt63(b *testing.B) {
+	var s Source
+	s.Seed(1)
+	var buf [128]int64
+	b.SetBytes(int64(len(buf)) * 8)
+	for i := 0; i < b.N; i++ {
+		for j := range buf {
+			buf[j] = s.Int63()
+		}
 	}
 }

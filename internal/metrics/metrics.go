@@ -132,8 +132,8 @@ func (c *Collector) ShardStall() {
 
 // PricingStats is the pricing-quoter section of a Report: quote counts
 // by method, acceptance-probability evaluation volume with the fraction
-// answered from the precomputed CDF tables' payment cache, and scratch
-// reuse. All zero for runs that never price a cooperative request.
+// the Monte-Carlo estimator answered from its per-quote table, and
+// scratch reuse. All zero for runs that never price a cooperative request.
 type PricingStats struct {
 	RevenueQuotes    int64   `json:"revenue_quotes"`
 	ThresholdQuotes  int64   `json:"threshold_quotes"`

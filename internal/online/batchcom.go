@@ -338,13 +338,5 @@ func (m *BatchCOM) estimatePayment(r *core.Request, probes []outerProbe) float64
 	for i := range probes {
 		group[i] = probes[i].cand.History
 	}
-	if len(group) > mcGroupCap {
-		sort.Slice(group, func(i, j int) bool { return group[i].Min() < group[j].Min() })
-		group = group[:mcGroupCap]
-	}
-	est, err := m.quoter.MinOuterPayment(r.Value, group, m.rng, m.scratch)
-	if err != nil {
-		return r.Value * 2
-	}
-	return est
+	return estimateMinPayment(m.quoter, m.scratch, m.rng, r.Value, group)
 }

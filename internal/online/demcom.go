@@ -159,15 +159,24 @@ func (m *DemCOM) estimatePayment(r *core.Request, cands []Candidate) float64 {
 	if m.PaymentOracle {
 		return pricing.ExactMinAcceptable(r.Value, group)
 	}
+	return estimateMinPayment(m.quoter, m.scratch, m.rng, r.Value, group)
+}
+
+// estimateMinPayment runs Algorithm 2 for a request of the given value
+// over group, the outer candidates' histories. A group above mcGroupCap
+// is first sorted in place by history minimum and cut to its cheapest
+// members; the permutation fixes which draw goes to which worker, so
+// DemCOM and BatchCOM share this one sort.
+func estimateMinPayment(q *pricing.TableQuoter, s *pricing.Scratch, rng *rand.Rand, value float64, group []*pricing.History) float64 {
 	if len(group) > mcGroupCap {
 		sort.Slice(group, func(i, j int) bool { return group[i].Min() < group[j].Min() })
 		group = group[:mcGroupCap]
 	}
-	est, err := m.quoter.MinOuterPayment(r.Value, group, m.rng, m.scratch)
+	est, err := q.MinOuterPayment(value, group, rng, s)
 	if err != nil {
 		// Only reachable with invalid configuration; fail safe by
 		// rejecting cooperation (estimate above value).
-		return r.Value * 2
+		return value * 2
 	}
 	return est
 }

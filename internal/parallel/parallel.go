@@ -1,7 +1,7 @@
 // Package parallel provides the bounded, deterministic fan-out
-// primitive shared by the experiment runner, the simulation ensemble and
-// the Monte-Carlo estimator: N independent jobs executed on at most W
-// goroutines, with results collected in submission order.
+// primitive shared by the experiment runner and the simulation ensemble:
+// N independent jobs executed on at most W goroutines, with results
+// collected in submission order.
 //
 // Determinism contract: a job must derive all of its randomness from its
 // index (or from state pre-split by index before the fan-out). Under

@@ -75,16 +75,10 @@ func (mc MonteCarlo) MinOuterPayment(value float64, group []*History, rng *rand.
 }
 
 // mcShards is the number of sub-streams the sampling instances split
-// into. It is a fixed constant, not GOMAXPROCS: the shard seeds are part
-// of the deterministic RNG consumption, so tying the count to the
-// machine would make estimates machine-dependent. 8 shards keep the
-// per-shard chunk large enough (24 instances at the default n_s = 192)
-// that goroutine overhead stays well below the sampling work.
+// into, each seeded from the caller's rng and run inline in shard order.
+// The shard seeds are part of the deterministic RNG consumption, so the
+// count is a fixed constant: changing it changes every estimate.
 const mcShards = 8
-
-// mcParallelMin is the instance count below which the shards run inline:
-// tiny configurations are dominated by fan-out overhead.
-const mcParallelMin = 64
 
 // groupFloor returns the smallest payment with non-zero group acceptance
 // probability: the minimum history value across the group, or the

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -213,5 +214,34 @@ func BenchmarkMinOuterPayment(b *testing.B) {
 		if _, err := DefaultMonteCarlo.MinOuterPayment(15, group, rng); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQuoterMinOuterPayment is the L0 "pricing quote" rung: one
+// warm Algorithm 2 quote through a TableQuoter and its Scratch, on
+// groups of 4, 19 (city-demcom's mean priced group) and 24 (the
+// matchers' cap) workers.
+func BenchmarkQuoterMinOuterPayment(b *testing.B) {
+	for _, n := range []int{4, 19, 24} {
+		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			group := make([]*History, n)
+			for i := range group {
+				vals := make([]float64, 30)
+				for j := range vals {
+					vals[j] = 1 + rng.Float64()*20
+				}
+				group[i] = MustHistory(vals)
+			}
+			q := NewQuoter(DefaultMonteCarlo)
+			s := NewScratch()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.MinOuterPayment(15, group, rng, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -4,19 +4,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
 	"crossmatch/internal/fastrand"
-	"crossmatch/internal/parallel"
 )
 
 // Quoter is the pricing seam the matchers drive: every quote method
 // takes an explicit per-goroutine Scratch so the hot path performs no
 // per-call allocation. One Quoter (and one Scratch) belongs to one
-// matcher goroutine; the Monte-Carlo shards inside MinOuterPayment are
-// the only internal fan-out and use per-shard sub-scratch, so a Quoter
+// matcher goroutine; MinOuterPayment runs its Monte-Carlo shards one
+// after another on that goroutine, so a Quoter starts no goroutines and
 // never needs locking.
 type Quoter interface {
 	// MaxExpectedRevenue computes the exact Definition 4.1 maximizer
@@ -39,8 +37,8 @@ type Stats struct {
 	ThresholdQuotes  int64 `json:"threshold_quotes"`
 	MonteCarloQuotes int64 `json:"monte_carlo_quotes"`
 	// ProbEvals counts acceptance-probability evaluations performed while
-	// quoting; TableHits the subset answered from the per-call payment
-	// cache over the History CDF tables instead of a fresh search.
+	// quoting; TableHits the subset the Monte-Carlo estimator answered
+	// from its per-quote table instead of a fresh History lookup.
 	ProbEvals int64 `json:"prob_evals"`
 	TableHits int64 `json:"table_hits"`
 	// ScratchReuses counts quote calls that arrived with a caller-owned
@@ -115,37 +113,93 @@ type Scratch struct {
 	group []*History // candidate-group buffer for matchers (Group)
 	bps   []breakpoint
 	cur   []float64
-	seeds [mcShards]int64
-	shard [mcShards]mcShard
+	mc    mcTable
 }
 
-// mcShard is one Monte-Carlo sub-stream's private state: a reusable RNG
-// re-seeded per quote (identical stream to a fresh
-// rand.New(rand.NewSource(seed))) and the per-call payment-probability
-// cache. The dichotomy of Algorithm 2 probes payments on a small dyadic
-// ladder, so virtually every probe after the first at a payment level is
-// a cache hit.
-type mcShard struct {
-	src   fastrand.Source
-	rng   *rand.Rand
-	pays  []float64 // distinct payments probed this call
-	probs []float64 // len(pays) x nw matrix; NaN = not yet evaluated
-	// per-call counters, folded into the quoter after the shards join
-	hits, evals int64
+// mcTable is the Monte-Carlo kernel's per-quote state, shared by the
+// shards, which run one after another on the caller's goroutine.
+//
+// The dichotomy of Algorithm 2 is a binary tree: node 0 probes the full
+// price, node 1 the midpoint value/2, and every probing node has a child
+// for "someone accepted" (the bracket's lower half) and one for "nobody
+// did" (the upper half). A node's bracket, payment and stop test depend
+// only on its path, so they are computed once per quote, when the first
+// instance reaches the node, with the same arithmetic the per-instance
+// loop used. So is each worker's acceptance probability at the node's
+// payment, stored as an integer threshold on the shard's Int63 draws.
+type mcTable struct {
+	nodes []mcNode
+	thr   []int64 // len(nodes) x nw thresholds; mcUnset = not yet computed
+	nw    int
+	xiv   float64 // Xi*value, the dichotomy's stop width
+
+	src   fastrand.Source // re-seeded per shard
+	draws [mcDrawBatch]int64
+	kept  int // draws[:kept] hold the current batch's kept draws
+	pos   int // next unread index in draws
+
+	// per-quote counters, folded into the quoter's Stats
+	checks, evals int64
 }
 
-// mcPayCacheCap bounds the payment cache; probes beyond it (unreachable
-// at practical Xi) are evaluated uncached, which stays exact.
-const mcPayCacheCap = 64
+// mcNode is one dichotomy-tree node: the bracket [vl, vh], the payment
+// vm probed there, whether the loop probes at all (vm-vl > Xi*value),
+// and the indices of the accept/decline children (0 = not yet built).
+type mcNode struct {
+	vl, vh, vm float64
+	probe      bool
+	next       [2]int32
+}
 
-// NewScratch returns a ready Scratch. The Monte-Carlo shard RNG state is
-// built once here (~12 KiB per shard) and re-seeded per quote, which is
-// what removes the rand.NewSource construction from the hot path.
+const (
+	// mcDrawBatch is how many Int63 draws a shard takes from its source
+	// at a time. Draws left over when a shard ends are discarded with
+	// the shard's stream; no other consumer ever reads it.
+	mcDrawBatch = 64
+	// mcRedraw is the smallest Int63 that rand.Float64 rounds to 1 and
+	// therefore discards, drawing again.
+	mcRedraw = 1<<63 - 512
+	// mcUnset marks a threshold not yet computed this quote.
+	mcUnset = math.MinInt64
+	// mcGroupHint sizes the initial threshold table: the matchers cap
+	// the groups they price at 24 workers.
+	mcGroupHint = 32
+)
+
+// acceptThreshold returns the largest Int63 x with float64(x)/(1<<63) <= p,
+// so that x <= acceptThreshold(p) decides exactly what rng.Float64() <= p
+// decides for the Float64 built from x (or -1 when no x qualifies). The
+// division by 2^63 is exact, so the test is float64(x) <= P with
+// P = p*2^63. Below 2^53 every integer converts exactly and the answer is
+// floor(P); from 2^53 on P is an integer, and the integers above it that
+// still round down to P are those below the midpoint to the next float64,
+// plus the midpoint itself when round-half-to-even picks P.
+func acceptThreshold(p float64) int64 {
+	if !(p >= 0) {
+		return -1
+	}
+	P := p * (1 << 63)
+	if P >= 1<<63 {
+		return 1<<63 - 1
+	}
+	if P < 1<<53 {
+		return int64(P)
+	}
+	half := int64((math.Nextafter(P, math.Inf(1)) - P) / 2)
+	t := int64(P) + half
+	if math.Float64bits(P)&1 != 0 {
+		t--
+	}
+	return t
+}
+
+// NewScratch returns a ready Scratch. The Monte-Carlo source state
+// (~12 KiB) is allocated here once and re-seeded per shard, and the
+// dichotomy table starts with room for the trees practical Xi produce.
 func NewScratch() *Scratch {
 	s := &Scratch{}
-	for i := range s.shard {
-		s.shard[i].rng = rand.New(&s.shard[i].src)
-	}
+	s.mc.nodes = make([]mcNode, 0, 64)
+	s.mc.thr = make([]int64, 0, 64*mcGroupHint)
 	return s
 }
 
@@ -169,33 +223,6 @@ func (q *TableQuoter) ensure(s *Scratch) *Scratch {
 	return NewScratch()
 }
 
-// row returns the cached probability row for payment (one entry per
-// group member, NaN where not yet evaluated), or nil when the cache is
-// full and the caller should evaluate uncached.
-func (sc *mcShard) row(payment float64, nw int) []float64 {
-	for i, p := range sc.pays {
-		if p == payment {
-			return sc.probs[i*nw : (i+1)*nw]
-		}
-	}
-	if len(sc.pays) >= mcPayCacheCap {
-		return nil
-	}
-	sc.pays = append(sc.pays, payment)
-	lo := (len(sc.pays) - 1) * nw
-	if cap(sc.probs) < lo+nw {
-		grown := make([]float64, lo+nw)
-		copy(grown, sc.probs)
-		sc.probs = grown
-	}
-	sc.probs = sc.probs[:lo+nw]
-	row := sc.probs[lo : lo+nw]
-	for i := range row {
-		row[i] = math.NaN()
-	}
-	return row
-}
-
 // MinOuterPayment implements Quoter: Algorithm 2 with the identical RNG
 // consumption contract of MonteCarlo.MinOuterPayment — the same shard
 // seeds drawn in the same order from rng, the same per-shard instance
@@ -213,37 +240,23 @@ func (q *TableQuoter) MinOuterPayment(value float64, group []*History, rng *rand
 		return value + epsilonFor(value), nil
 	}
 	s = q.ensure(s)
+	t := &s.mc
+	t.reset(value, q.MC.Xi*value, len(group))
 
-	// The seeds are always drawn, in shard order, for the full fixed
-	// shard count — never a machine-dependent one — so the estimate (and
-	// the caller's rng state afterwards) is identical whether the shards
-	// execute serially or across GOMAXPROCS cores.
+	// The seeds are drawn in shard order, one per shard of the fixed
+	// shard count, and each shard is sampled right after its seed: no
+	// other draw from rng happens in between, so this is the same
+	// consumption as drawing all seeds first.
 	ns := q.MC.Instances()
-	for i := range s.seeds {
-		s.seeds[i] = rng.Int63()
-	}
 	sum := 0.0
-	if ns >= mcParallelMin && runtime.GOMAXPROCS(0) > 1 {
-		sums, err := parallel.Map(0, mcShards, func(shard int) (float64, error) {
-			return q.sampleShard(value, group, shard, ns, s), nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range sums {
-			sum += v
-		}
-	} else {
-		for shard := 0; shard < mcShards; shard++ {
-			sum += q.sampleShard(value, group, shard, ns, s)
-		}
+	for shard := 0; shard < mcShards; shard++ {
+		t.src.Seed(rng.Int63())
+		t.pos, t.kept = 0, 0
+		lo, hi := shard*ns/mcShards, (shard+1)*ns/mcShards
+		sum += q.sampleInstances(value, group, hi-lo, t)
 	}
-	for i := range s.shard {
-		sc := &s.shard[i]
-		q.stats.ProbEvals += sc.evals + sc.hits
-		q.stats.TableHits += sc.hits
-		sc.evals, sc.hits = 0, 0
-	}
+	q.stats.ProbEvals += t.checks
+	q.stats.TableHits += t.checks - t.evals
 	est := sum / float64(ns)
 	// No payment below the cheapest value any group member ever accepted
 	// can attract anyone (Definition 3.1 gives it probability zero), so
@@ -255,70 +268,128 @@ func (q *TableQuoter) MinOuterPayment(value float64, group []*History, rng *rand
 	return est, nil
 }
 
-// sampleShard re-seeds the shard's reusable RNG and runs its slice of
-// the sampling instances, returning the sum of their contributions.
-func (q *TableQuoter) sampleShard(value float64, group []*History, shard, ns int, s *Scratch) float64 {
-	sc := &s.shard[shard]
-	sc.src.Seed(s.seeds[shard])
-	sc.pays = sc.pays[:0]
-	sc.probs = sc.probs[:0]
-	lo, hi := shard*ns/mcShards, (shard+1)*ns/mcShards
-	return q.sampleInstances(value, group, hi-lo, sc)
+// reset empties the table for a quote of value over nw workers and
+// builds its two fixed nodes: the full price and the dichotomy's root.
+func (t *mcTable) reset(value, xiv float64, nw int) {
+	t.nodes, t.thr = t.nodes[:0], t.thr[:0]
+	t.nw, t.xiv = nw, xiv
+	t.checks, t.evals = 0, 0
+	t.add(mcNode{vm: value, probe: true})
+	vl, vh := 0.0, value
+	vm := vh / 2
+	t.add(mcNode{vl: vl, vh: vh, vm: vm, probe: vm-vl > xiv})
 }
 
-// sampleInstances runs n independent sampling instances of Algorithm 2
-// against group and returns the sum of their contributions. It mirrors
-// the original estimator draw for draw; only the acceptance-probability
-// evaluations go through the shard's payment cache (probabilities are
-// pure functions of (worker, payment), so caching cannot change bits).
-func (q *TableQuoter) sampleInstances(value float64, group []*History, n int, sc *mcShard) float64 {
-	rng := sc.rng
-	nw := len(group)
-	anyAccepts := func(payment float64) bool {
-		if payment <= 0 {
-			// pr(v', w) = 0 for all workers; the draws still happen.
-			for range group {
-				if rng.Float64() <= 0 {
-					return true
-				}
-			}
-			return false
-		}
-		row := sc.row(payment, nw)
-		for wi, h := range group {
-			var p float64
-			if row == nil {
-				p = q.prob(h, payment)
-				sc.evals++
-			} else if p = row[wi]; p != p { // NaN: not yet evaluated
-				p = q.prob(h, payment)
-				row[wi] = p
-				sc.evals++
-			} else {
-				sc.hits++
-			}
-			if rng.Float64() <= p {
-				return true
-			}
-		}
-		return false
+// add appends a node with all its thresholds unset and returns its index.
+func (t *mcTable) add(n mcNode) int32 {
+	k := int32(len(t.nodes))
+	t.nodes = append(t.nodes, n)
+	for range t.nw {
+		t.thr = append(t.thr, mcUnset)
 	}
+	return k
+}
+
+// child builds node k's child on branch b (0 = someone accepted vm,
+// 1 = nobody did) on its first visit, with the dichotomy's update:
+// accepted narrows to [vl, vm], declined to [vm, vh], and the next probe
+// is vm = (vh-vl)/2 + vl.
+func (t *mcTable) child(k int32, b int) int32 {
+	n := &t.nodes[k]
+	vl, vh := n.vl, n.vh
+	if b == 0 {
+		vh = n.vm
+	} else {
+		vl = n.vm
+	}
+	vm := (vh-vl)/2 + vl
+	c := t.add(mcNode{vl: vl, vh: vh, vm: vm, probe: vm-vl > t.xiv})
+	t.nodes[k].next[b] = c
+	return c
+}
+
+// refill takes the shard stream's next mcDrawBatch Int63 draws and
+// keeps the ones rand.Float64 would keep: an Int63 it rounds to 1 is
+// discarded and replaced by the next draw, so dropping it here leaves
+// exactly the sequence of values the per-draw Float64 calls used.
+func (t *mcTable) refill() {
+	t.src.Fill(t.draws[:])
+	t.kept = len(t.draws)
+	for i, x := range t.draws {
+		if x >= mcRedraw {
+			t.kept = i + keepDraws(t.draws[i:])
+			return
+		}
+	}
+}
+
+// keepDraws compacts the draws below mcRedraw to the front of d and
+// returns their count.
+func keepDraws(d []int64) int {
+	kept := 0
+	for _, x := range d {
+		if x < mcRedraw {
+			d[kept] = x
+			kept++
+		}
+	}
+	return kept
+}
+
+// accepts samples the group's decisions at node k's payment: worker by
+// worker in group order, one draw each, stopping at the first accept,
+// exactly as the per-draw `rng.Float64() <= pr(payment, w)` loop did.
+func (q *TableQuoter) accepts(group []*History, k int32, t *mcTable) bool {
+	nw := t.nw
+	thr := t.thr[int(k)*nw : int(k)*nw+nw]
+	draws, pos := t.draws[:t.kept], t.pos
+	for wi, th := range thr {
+		if th == mcUnset {
+			th = acceptThreshold(q.prob(group[wi], t.nodes[k].vm))
+			thr[wi] = th
+			t.evals++
+		}
+		for pos >= len(draws) {
+			t.refill()
+			draws, pos = t.draws[:t.kept], 0
+		}
+		x := draws[pos]
+		pos++
+		if x <= th {
+			t.pos = pos
+			t.checks += int64(wi + 1)
+			return true
+		}
+	}
+	t.pos = pos
+	t.checks += int64(nw)
+	return false
+}
+
+// sampleInstances runs n sampling instances of Algorithm 2 on the
+// shard stream the caller seeded and returns the sum of their
+// contributions. Each instance probes the full price (a decline
+// contributes value+epsilon), then walks the dichotomy tree down to a
+// node whose bracket is within Xi*value and contributes its v_l.
+func (q *TableQuoter) sampleInstances(value float64, group []*History, n int, t *mcTable) float64 {
 	eps := epsilonFor(value)
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		if !anyAccepts(value) {
+		if !q.accepts(group, 0, t) {
 			sum += value + eps
 			continue
 		}
-		vl, vh := 0.0, value
-		vm := vh / 2
-		for vm-vl > q.MC.Xi*value {
-			if anyAccepts(vm) {
-				vh = vm
-			} else {
-				vl = vm
+		k := int32(1)
+		for t.nodes[k].probe {
+			b := 1
+			if q.accepts(group, k, t) {
+				b = 0
 			}
-			vm = (vh-vl)/2 + vl
+			if c := t.nodes[k].next[b]; c != 0 {
+				k = c
+			} else {
+				k = t.child(k, b)
+			}
 		}
 		// The instance contributes the lower bracket v_l: Section III-B2
 		// states the minimum outer payment "is approximated by these
@@ -327,7 +398,7 @@ func (q *TableQuoter) sampleInstances(value float64, group []*History, n int, sc
 		// acceptance frontier, which is what produces the paper's
 		// characteristically low DemCOM acceptance ratio (~17%): the
 		// platform offers the least it might get away with.
-		sum += vl
+		sum += t.nodes[k].vl
 	}
 	return sum
 }
